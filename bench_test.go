@@ -428,8 +428,8 @@ func benchScaleSweepShards(b *testing.B, shards int) {
 	b.ReportMetric(events/float64(b.N), "events")
 }
 
-// BenchmarkScaleSweepShard1 pins the sharded engine's serial escape
-// hatch (one shard, no cross-shard traffic): the baseline event rate.
+// BenchmarkScaleSweepShard1 pins the engine at one shard (no
+// cross-shard traffic): the baseline event rate.
 func BenchmarkScaleSweepShard1(b *testing.B) { benchScaleSweepShards(b, 1) }
 
 // BenchmarkScaleSweepSharded runs the same deployment on one shard per

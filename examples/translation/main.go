@@ -69,15 +69,13 @@ func main() {
 		Graph: graph,
 		Seed:  5,
 		Trace: func(ev sim.TraceEvent) {
-			if len(ev.Pkt) == 0 || wire.Type(ev.Pkt[0]) != wire.TData {
+			// One event per receiver; the first stands for the broadcast.
+			if !ev.First || len(ev.Pkt) == 0 || wire.Type(ev.Pkt[0]) != wire.TData {
 				return
 			}
 			f, err := wire.ParseFrame(ev.Pkt)
 			if err != nil {
 				return
-			}
-			if n := len(path); n > 0 && path[n-1].from == ev.From {
-				return // same broadcast reaching another neighbor
 			}
 			path = append(path, hop{from: ev.From, cid: f.CID})
 		},

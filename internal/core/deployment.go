@@ -75,12 +75,11 @@ type DeployOptions struct {
 	// share one cluster-key seal, flushed on size or deadline. 0 keeps
 	// the classic one-reading-per-frame path byte-identical.
 	Batch int
-	// Shards, when >= 1, runs the trial on the simulator's intra-trial
-	// sharded engine: nodes are assigned to spatial stripes via
-	// topology.Graph.ShardStripes and each stripe's event heap advances
-	// on its own goroutine. Output is byte-identical across all Shards
-	// >= 1 but differs from the legacy Shards=0 engine (see
-	// sim.Config.Shards and docs/SCALING.md).
+	// Shards is the number of simulator shards: nodes are assigned to
+	// spatial stripes via topology.Graph.ShardStripes and each stripe's
+	// event queue advances on its own goroutine. Values below 1 mean 1.
+	// It is a pure performance setting: output is byte-identical at every
+	// value (see sim.Config.Shards and docs/SCALING.md).
 	Shards int
 	// Mobility, if it enables any motion (mobility.Config.Enabled),
 	// attaches a seeded mobility controller driving the listed nodes
@@ -173,15 +172,12 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		}
 		behaviors[i] = sensors[i]
 	}
-	var shardOf []int
-	if opt.Shards > 0 {
-		shardOf = graph.ShardStripes(opt.Shards)
-	}
+	shards := max(opt.Shards, 1)
 	eng, err := sim.New(sim.Config{
 		Graph:      graph,
 		Seed:       opt.Seed,
-		Shards:     opt.Shards,
-		ShardOf:    shardOf,
+		Shards:     shards,
+		ShardOf:    graph.ShardStripes(shards),
 		Loss:       opt.Loss,
 		Collisions: opt.Collisions,
 		Jitter:     opt.Jitter,
@@ -207,9 +203,8 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 	if opt.Mobility.Enabled() {
 		// Built after the engine so shard stripes are already frozen
 		// from the initial positions; the controller's ticks run on the
-		// engine's coordinator lane, which on the sharded engine means
-		// between epochs with every shard parked — the one place the
-		// graph may mutate.
+		// engine's coordinator lane, between epochs with every shard
+		// parked — the one place the graph may mutate.
 		mob, err = mobility.New(opt.Mobility, graph)
 		if err != nil {
 			return nil, err

@@ -68,6 +68,10 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 		repaired     int
 		latencySumMS float64
 	}
+	type repairClaim struct {
+		cid uint32
+		at  time.Duration
+	}
 	obs, err := runner.Grid(o.pool(), len(fracs), o.Trials,
 		func(point, trial int) (churnObs, error) {
 			// Victim selection draws from its own stream so adding a
@@ -104,16 +108,15 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 			if err := d.RunSetup(); err != nil {
 				return churnObs{}, err
 			}
-			// First repair claim per cluster, observed on the claimants.
-			firstRepair := make(map[uint32]time.Duration)
+			// Repair claims land in per-node slots: node i's hook runs on
+			// its shard's goroutine and only writes slot i.
+			claims := make([][]repairClaim, len(d.Sensors))
 			for i, s := range d.Sensors {
 				if s == nil || i == d.BSIndex {
 					continue
 				}
 				s.OnRepaired = func(cid uint32, _ node.ID, at time.Duration) {
-					if _, ok := firstRepair[cid]; !ok {
-						firstRepair[cid] = at
-					}
+					claims[i] = append(claims[i], repairClaim{cid, at})
 				}
 			}
 			// Which victims were heads with at least one surviving member?
@@ -140,6 +143,15 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 			miss := time.Duration(cfg.KeepAliveMisses) * cfg.KeepAlivePeriod
 			settled := lastCrash + miss + 1500*time.Millisecond
 			d.Eng.Run(settled)
+			// First repair claim per cluster: the earliest across claimants.
+			firstRepair := make(map[uint32]time.Duration)
+			for _, cs := range claims {
+				for _, c := range cs {
+					if first, ok := firstRepair[c.cid]; !ok || c.at < first {
+						firstRepair[c.cid] = c.at
+					}
+				}
+			}
 			for _, v := range victims {
 				if at, ok := firstRepair[uint32(v)]; ok {
 					ob.repaired++

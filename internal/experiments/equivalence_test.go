@@ -173,14 +173,9 @@ func TestChaosEquivalenceAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestShardCountEquivalence proves the sharded engine's invariance
+// TestShardCountEquivalence proves the engine's shard-count invariance
 // contract at the experiment level: every family marshals to the same
-// bytes at Shards 1, 2, 4, and GOMAXPROCS. The reference is Shards=1
-// (the sharded engine's serial escape hatch), not Shards=0: the legacy
-// engine is a different determinism contract by design — the global
-// tie-break sequence and the shared medium stream are inherently
-// serial — so sharded output matches it in distribution, not in bytes
-// (see docs/SCALING.md).
+// bytes at Shards 1, 2, 4, and GOMAXPROCS (see docs/SCALING.md).
 func TestShardCountEquivalence(t *testing.T) {
 	shardCounts := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 4 {

@@ -44,12 +44,11 @@ type Options struct {
 	// events carry per-trial labels). Results are byte-identical with or
 	// without it — see docs/DETERMINISM.md on the obs exclusion.
 	Obs *obs.Registry
-	// Shards, when >= 1, runs every trial on the simulator's intra-trial
-	// sharded engine with this many shards; the trial pool is then sized
-	// with runner.NestedWorkers so Workers keeps bounding total
-	// concurrency. Output is byte-identical across all Shards >= 1 but
-	// differs from the legacy Shards=0 engine (a new determinism
-	// contract, like a seed salt; see docs/SCALING.md).
+	// Shards is the number of simulator shards every trial runs on
+	// (0 means 1); the trial pool is then sized with runner.NestedWorkers
+	// so Workers keeps bounding total concurrency. It is a pure
+	// performance setting: output is byte-identical at every value (see
+	// docs/SCALING.md).
 	Shards int
 }
 
@@ -74,6 +73,7 @@ func (o Options) withDefaults() Options {
 	if o.N <= 0 {
 		o.N = 2500
 	}
+	o.Shards = max(o.Shards, 1)
 	return o
 }
 
@@ -97,9 +97,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// pool resolves the trial pool's worker count. With a sharded engine
-// each trial runs o.Shards goroutines, so the outer pool shrinks to
-// keep Workers meaning total concurrency (runner.NestedWorkers).
+// pool resolves the trial pool's worker count. Each trial runs o.Shards
+// goroutines, so the outer pool shrinks to keep Workers meaning total
+// concurrency (runner.NestedWorkers).
 func (o Options) pool() int { return runner.NestedWorkers(o.Workers, o.Shards) }
 
 // Caps bounds an Options value for experiment families that are too

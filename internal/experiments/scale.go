@@ -95,7 +95,7 @@ type ScaleSweepResult struct {
 	Points []*ScalePoint `json:"points"`
 	// Density is the fixed density the sweep ran at.
 	Density float64 `json:"density"`
-	// Shards echoes the engine configuration (0 = legacy serial engine).
+	// Shards echoes the engine's shard count.
 	// Excluded from JSON: the invariance contract is precisely that the
 	// serialized result does not depend on the shard count.
 	Shards int `json:"-"`
@@ -107,9 +107,9 @@ type ScaleSweepResult struct {
 }
 
 // ScaleSweep reproduces the Figure 1/6/7/8 measurements at large
-// network sizes on the sharded engine. Where DensitySweep sweeps
-// density at fixed n, ScaleSweep sweeps n at fixed density — the
-// locality claim under test is that every per-node curve is flat in n.
+// network sizes. Where DensitySweep sweeps density at fixed n,
+// ScaleSweep sweeps n at fixed density — the locality claim under test
+// is that every per-node curve is flat in n.
 // All statistics are streamed (Welford, P² sketch, fixed-size
 // histogram, plain counters) through core.Deployment.VisitClustered,
 // so beyond the deployment itself memory does not grow with n.
@@ -185,12 +185,8 @@ func scaleTrial(o Options, n int, density float64, point, trial int) (*ScalePoin
 		}
 		p.SizeCounts[size]++
 	}
-	cores := o.Shards
-	if cores < 1 {
-		cores = 1
-	}
 	if s := wall.Seconds(); s > 0 {
-		p.EventsPerSecCore = float64(events) / s / float64(cores)
+		p.EventsPerSecCore = float64(events) / s / float64(o.Shards)
 	}
 	return p, nil
 }

@@ -53,7 +53,7 @@ func TestScaleSweepSmall(t *testing.T) {
 }
 
 // TestScaleSmoke is the CI scale gate (set SCALE_SMOKE=1 to run): one
-// 100k-node ScaleSweep trial on four shards, plus shard-vs-serial
+// 100k-node ScaleSweep trial on four shards, plus four-shards-vs-one
 // equivalence at 5k nodes. Budget: under three minutes on a CI runner,
 // race detector off.
 func TestScaleSmoke(t *testing.T) {
@@ -75,7 +75,7 @@ func TestScaleSmoke(t *testing.T) {
 	runtime.ReadMemStats(&mem)
 	t.Logf("heap in use after sweep: %.1f MB", float64(mem.HeapInuse)/(1<<20))
 
-	// Equivalence vs the serial escape hatch at 5k nodes.
+	// Equivalence vs one shard at 5k nodes.
 	o := Options{Seed: 3, Trials: 1, N: 5000}
 	serial := o
 	serial.Shards = 1

@@ -10,9 +10,9 @@
 // mobile nodes in ascending index order, and every random draw comes
 // from a per-node stream split off Config.Seed — so the full trajectory
 // set is a pure function of (Seed, Config, initial positions),
-// independent of worker count and shard count. On the sharded engine the
-// ticks run as coordinator events between epochs, while every shard is
-// parked at a barrier, which is the one place the topology may mutate;
+// independent of worker count and shard count. The ticks run as
+// coordinator events between epochs, while every shard is parked at a
+// barrier, which is the one place the topology may mutate;
 // a node crossing a shard stripe simply keeps its lane and shard (the
 // assignment is frozen at deploy time) and its traffic rides the
 // existing cross-shard mailboxes.

@@ -1,13 +1,13 @@
-// Shard-mode scheduler: the intra-trial parallel engine selected by
-// Config.Shards >= 1.
+// The scheduler: the engine's one event loop.
 //
 // # Design
 //
-// The node set is partitioned into S shards (spatial stripes when the
-// caller supplies Config.ShardOf; contiguous index ranges otherwise).
-// Each shard owns a private event heap, packet arena, event free-list,
-// and fault-injector replica, and advances on its own goroutine in
-// conservative synchronous epochs. The epoch width is the lookahead
+// The node set is partitioned into S = Config.Shards shards (spatial
+// stripes when the caller supplies Config.ShardOf; contiguous index
+// ranges otherwise). Each shard owns a private event queue, packet arena,
+// event free-list, and fault-injector replica, and advances in
+// conservative synchronous epochs — on its own goroutine when S > 1, on
+// the calling goroutine when S = 1. The epoch width is the lookahead
 // L = PropDelay: every radio delivery — the only cross-shard
 // interaction — arrives at least L after its transmission, so if M is
 // the globally earliest pending event, no event before M+L can be
@@ -15,15 +15,13 @@
 // therefore processes every event with at < limit = min(M+L, next
 // coordinator event, until+1ns), then all shards meet at a barrier
 // where the coordinator drains the per-shard outboxes into the target
-// heaps and replays buffered user callbacks.
+// queues and replays buffered user callbacks.
 //
-// # The shard-count-invariance contract
+// # The determinism contract
 //
-// Shard mode is byte-identical across every shard count S >= 1 and
-// every shard assignment, but intentionally NOT to the legacy Shards=0
-// engine, whose global insertion-sequence tie-break and single shared
-// medium stream are inherently serial (see docs/DETERMINISM.md). Three
-// mechanisms make the contract hold:
+// Output is byte-identical across every shard count S >= 1 and every
+// shard assignment (see docs/DETERMINISM.md). Three mechanisms make the
+// contract hold:
 //
 //  1. Canonical event order. Every shard event carries the key
 //     (at, src, seq) where src is the graph index of the host whose
@@ -50,6 +48,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -60,7 +59,7 @@ import (
 
 const maxTime = time.Duration(math.MaxInt64)
 
-// shard owns one partition of the node set: its event heap, clock, and
+// shard owns one partition of the node set: its event queue, clock, and
 // recycling pools. Fields are only touched by the shard's goroutine
 // during an epoch, or by the coordinator while all shards sit at a
 // barrier — never both at once.
@@ -68,10 +67,10 @@ type shard struct {
 	eng   *Engine
 	id    int
 	now   time.Duration
-	queue shardHeap
+	queue eventQueue
 
 	// out[k] buffers deliveries addressed to shard k; the coordinator
-	// drains every outbox into the target heaps at the epoch barrier.
+	// drains every outbox into the target queues at the epoch barrier.
 	out []xoutbox
 
 	// cbs buffers user-callback records (trace, death, crash) for
@@ -85,14 +84,14 @@ type shard struct {
 	// coordinator harvests and resets it at the barrier.
 	processed int
 
-	freeEv []*event
-	pkts   pktArena
+	evs  eventPool
+	pkts pktArena
 }
 
 type xoutbox []xmsg
 
 // xmsg is one cross-shard delivery in flight: everything the receiving
-// shard needs to reconstruct the evSDeliver event with its canonical
+// shard needs to reconstruct the evDeliver event with its canonical
 // (at, src, seq) key.
 type xmsg struct {
 	at       time.Duration // arrival time
@@ -103,30 +102,7 @@ type xmsg struct {
 	to       int32         // receiver graph index
 	pkt      []byte        // receiver's private payload copy
 	lossLost bool          // sender-side Config.Loss verdict
-}
-
-// shardHeap orders events by the canonical (at, src, seq) key.
-type shardHeap []*event
-
-func (h shardHeap) Len() int { return len(h) }
-func (h shardHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].src != h[j].src {
-		return h[i].src < h[j].src
-	}
-	return h[i].seq < h[j].seq
-}
-func (h shardHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *shardHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *shardHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	first    bool          // first receiver of the transmission
 }
 
 // cbKind discriminates buffered user-callback records. The kind is part
@@ -152,20 +128,18 @@ type cbRec struct {
 	tr   TraceEvent
 }
 
-// setupShards switches the engine into shard mode. Called by New after
-// hosts are built, with the root RNG that seeds all streams.
-func (e *Engine) setupShards(root *xrand.RNG) error {
+// setupShards partitions the hosts into Config.Shards shards. Called by
+// New after hosts are built.
+func (e *Engine) setupShards() error {
 	s := e.cfg.Shards
 	n := len(e.hosts)
 	if e.cfg.ShardOf != nil && len(e.cfg.ShardOf) != n {
 		return fmt.Errorf("sim: ShardOf has %d entries for %d nodes", len(e.cfg.ShardOf), n)
 	}
-	e.sharded = true
-	e.root = root
-	e.lookahead = e.cfg.PropDelay
 	e.shards = make([]*shard, s)
 	for k := range e.shards {
 		sh := &shard{eng: e, id: k, out: make([]xoutbox, s)}
+		sh.evs.disabled = e.cfg.DisablePooling
 		sh.pkts.disabled = e.cfg.DisablePooling
 		sh.pkts.poison = e.cfg.PoisonRecycled
 		if e.cfg.Faults != nil {
@@ -174,13 +148,12 @@ func (e *Engine) setupShards(root *xrand.RNG) error {
 			// shard evaluates a chain draws the same variates. The
 			// metrics registry get-or-creates by name, so all replicas
 			// share one set of counters.
-			sh.inj = faults.NewInjector(e.cfg.Faults, root.Split(faultStream))
+			sh.inj = faults.NewInjector(e.cfg.Faults, e.root.Split(faultStream))
 			sh.inj.SetMetrics(faults.NewMetrics(e.cfg.Obs.Registry()))
 			sh.inj.SetLocator(locatorFor(e.cfg.Graph))
 		}
 		e.shards[k] = sh
 	}
-	e.shardOf = make([]int32, n)
 	for i, h := range e.hosts {
 		k := i * s / n
 		if e.cfg.ShardOf != nil {
@@ -189,14 +162,13 @@ func (e *Engine) setupShards(root *xrand.RNG) error {
 				return fmt.Errorf("sim: ShardOf[%d] = %d out of range [0,%d)", i, k, s)
 			}
 		}
-		e.shardOf[i] = int32(k)
 		h.sh = e.shards[k]
 	}
 	return nil
 }
 
 // mediumStream returns the host's private medium stream, splitting it
-// off the root on first use. Only used in shard mode.
+// off the root on first use.
 func (h *host) mediumStream() *xrand.RNG {
 	if h.med == nil {
 		h.med = h.eng.root.Split(mediumLaneBase + uint64(h.idx))
@@ -217,33 +189,12 @@ func (e *Engine) syncShardClocks() {
 	}
 }
 
-// newEvent takes an event record from the shard's free-list. Unlike the
-// legacy engine the canonical key is assigned by the caller, not a
-// global sequence.
-func (s *shard) newEvent() *event {
-	if last := len(s.freeEv) - 1; last >= 0 {
-		ev := s.freeEv[last]
-		s.freeEv[last] = nil
-		s.freeEv = s.freeEv[:last]
-		return ev
-	}
-	return &event{}
-}
-
-func (s *shard) recycle(ev *event) {
-	if s.eng.cfg.DisablePooling {
-		return
-	}
-	*ev = event{}
-	s.freeEv = append(s.freeEv, ev)
-}
-
 // pushHostEvent schedules an event on h's lane: the key is
 // (at, h.idx, next lane sequence). The caller may fill kind-specific
-// operands on the returned event (the heap orders only by the key).
+// operands on the returned event (the queue orders only by the key).
 func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event {
 	h.lseq++
-	ev := s.newEvent()
+	ev := s.evs.get()
 	ev.at = at
 	ev.src = int32(h.idx)
 	ev.seq = h.lseq
@@ -256,8 +207,7 @@ func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event 
 func (s *shard) bufferCallback(r cbRec) { s.cbs = append(s.cbs, r) }
 
 // runEpoch processes every pending event strictly before limit. It runs
-// on the shard's goroutine (or inline when S == 1 or during coordinator
-// injections).
+// on the shard's goroutine (or inline when S == 1).
 func (s *shard) runEpoch(limit time.Duration) {
 	n := 0
 	for len(s.queue) > 0 && s.queue[0].at < limit {
@@ -270,39 +220,49 @@ func (s *shard) runEpoch(limit time.Duration) {
 }
 
 func (s *shard) dispatch(ev *event) {
+	e := s.eng
 	switch ev.kind {
 	case evStart:
 		if ev.h.alive {
 			ev.h.behavior.Start(ev.h)
 		}
-	case evSDeliver:
-		s.runSDeliver(ev)
+	case evDeliver:
+		s.runDeliver(ev)
 	case evRxEnd:
 		s.runRxEnd(ev.h, ev.from, ev.pkt, ev.rx)
 	case evTimer:
-		s.eng.runTimer(ev.h, ev.tid)
-	case evSCrash:
-		s.crash(ev.h)
-	case evSReboot:
-		s.reboot(ev.h)
+		e.runTimer(ev.h, ev.tid)
+	case evCrash:
+		if e.crash(ev.h, s.now) && e.cfg.OnCrash != nil {
+			s.bufferCallback(cbRec{kind: cbCrash, at: s.now, node: int32(ev.h.idx)})
+		}
+	case evReboot:
+		e.reboot(ev.h)
 	}
-	s.recycle(ev)
+	s.evs.put(ev)
 }
 
 // deliverFrom fans a transmission from h's radio position out to every
-// neighbor: the shard-mode counterpart of Engine.deliverFrom. The
-// sender's private medium stream supplies exactly two variates (loss,
-// jitter) per receiver in neighbor order; in-shard receivers get heap
+// neighbor. Each receiver gets a private arena copy, so neither the
+// sender's later reuse of its buffer nor another receiver's in-place
+// mutation can corrupt a delivery — the same isolation a real radio
+// provides; the copy returns to the arena when Receive returns.
+//
+// The sender's private medium stream supplies exactly two variates
+// (loss, jitter) per receiver in neighbor order. The jitter draw is made
+// even for lost packets, so loss outcomes — whether from Config.Loss or
+// a fault plan — can never shift later draws
+// (TestFaultPlanPreservesMediumStream). In-shard receivers get queue
 // events directly, out-of-shard receivers get outbox records. Lost
 // packets still ship whenever a trace hook or fault plan needs to
-// observe the arrival (fault chains advance on every arrival, exactly
-// as the legacy engine consults the injector before the loss draw).
+// observe the arrival: fault chains advance on every arrival, and the
+// trace marks the first receiver's event of every transmission.
 func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
 	e := s.eng
 	txAt := s.now
 	med := h.mediumStream()
 	keepLost := e.cfg.Trace != nil || s.inj != nil
-	for _, nb := range e.cfg.Graph.Neighbors(h.idx) {
+	for i, nb := range e.cfg.Graph.Neighbors(h.idx) {
 		lost := e.cfg.Loss > 0 && med.Bool(e.cfg.Loss)
 		delay := e.cfg.PropDelay
 		if jit := s.scaledJitter(txAt); jit > 0 {
@@ -326,26 +286,28 @@ func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
 				to:       nb,
 				pkt:      copied,
 				lossLost: lost,
+				first:    i == 0,
 			})
 			continue
 		}
-		ev := s.newEvent()
+		ev := s.evs.get()
 		ev.at = txAt + delay
 		ev.src = int32(h.idx)
 		ev.seq = h.lseq
-		ev.kind = evSDeliver
+		ev.kind = evDeliver
 		ev.h = rcv
 		ev.from = from
 		ev.pkt = copied
 		ev.txAt = txAt
 		ev.lossLost = lost
+		ev.first = i == 0
 		heap.Push(&s.queue, ev)
 	}
 }
 
-// scaledJitter mirrors Engine.scaledJitter against the shard's injector
-// replica. JitterScale is a pure function of the plan and the
-// transmission time, so replicas agree.
+// scaledJitter returns the medium jitter with any active fault-plan
+// jitter scaling applied. JitterScale is a pure function of the plan and
+// the transmission time, so replicas agree.
 func (s *shard) scaledJitter(at time.Duration) time.Duration {
 	jit := s.eng.cfg.Jitter
 	if s.inj != nil && jit > 0 {
@@ -354,11 +316,16 @@ func (s *shard) scaledJitter(at time.Duration) time.Duration {
 	return jit
 }
 
-// runSDeliver completes one delivery on the receiver's shard: the
+// runDeliver completes one delivery on the receiver's shard: the
 // fault-plan verdict is decided here, in canonical arrival order, then
 // the packet is traced, dropped, handed to the collision model, or
 // delivered.
-func (s *shard) runSDeliver(ev *event) {
+//
+// Loss ordering contract (pinned by TestLossBeforeCollision*): fault-plan
+// drops and independent per-link loss are both decided before the packet
+// would occupy the receiver's radio — a lost packet can therefore never
+// collide with, nor corrupt, another reception.
+func (s *shard) runDeliver(ev *event) {
 	e := s.eng
 	rcv := ev.h
 	lost := ev.lossLost
@@ -372,12 +339,13 @@ func (s *shard) runSDeliver(ev *event) {
 			src:  ev.src,
 			seq:  ev.seq,
 			tr: TraceEvent{
-				At:   ev.txAt,
-				From: ev.from,
-				To:   rcv.id,
-				Size: len(ev.pkt),
-				Lost: lost,
-				Pkt:  append([]byte(nil), ev.pkt...),
+				At:    ev.txAt,
+				From:  ev.from,
+				To:    rcv.id,
+				Size:  len(ev.pkt),
+				Lost:  lost,
+				First: ev.first,
+				Pkt:   append([]byte(nil), ev.pkt...),
 			},
 		})
 	}
@@ -411,12 +379,17 @@ func (s *shard) runSDeliver(ev *event) {
 	s.pkts.put(ev.pkt)
 }
 
-// rxBegin mirrors Engine.runRxBegin on the shard clock.
+// rxBegin implements the half-duplex collision model: the packet
+// occupies rcv's radio from arrival until arrival+airtime; if it
+// overlaps another reception, both are corrupted and neither is
+// delivered.
 func (s *shard) rxBegin(rcv *host, rx *reception) {
 	if !rcv.alive {
 		return
 	}
 	if cur := rcv.rxCurrent; cur != nil && s.now < cur.endsAt {
+		// Overlap: the in-progress reception and this one are both
+		// destroyed.
 		if !cur.corrupt {
 			cur.corrupt = true
 			rcv.collisions++
@@ -426,14 +399,17 @@ func (s *shard) rxBegin(rcv *host, rx *reception) {
 		rcv.collisions++
 		s.eng.m.collisions.Inc()
 		if rx.endsAt > cur.endsAt {
-			rcv.rxCurrent = rx
+			rcv.rxCurrent = rx // radio stays jammed until the longer one ends
 		}
 		return
 	}
 	rcv.rxCurrent = rx
 }
 
-// runRxEnd mirrors Engine.runRxEnd against the shard's arena.
+// runRxEnd delivers a collidable reception that survived its airtime and
+// reclaims the packet buffer. Receive energy is charged only for packets
+// that decode — corrupted receptions are dropped before the full-packet
+// receive cost.
 func (s *shard) runRxEnd(rcv *host, from node.ID, pkt []byte, rx *reception) {
 	e := s.eng
 	if rcv.alive && !rx.corrupt {
@@ -445,67 +421,70 @@ func (s *shard) runRxEnd(rcv *host, from node.ID, pkt []byte, rx *reception) {
 	s.pkts.put(pkt)
 }
 
-// crash is the fault plan's node failure on the owning shard; the
-// OnCrash callback is buffered for canonical replay.
-func (s *shard) crash(h *host) {
-	e := s.eng
-	if !h.alive {
-		return
+// epochWorkers runs one goroutine per shard for the length of one Run
+// when there is more than one shard. It lives outside Engine.run so the
+// single-shard loop captures nothing and allocates nothing.
+type epochWorkers struct {
+	starts []chan time.Duration
+	done   chan struct{}
+	exited sync.WaitGroup
+}
+
+func startWorkers(shards []*shard) *epochWorkers {
+	w := &epochWorkers{
+		starts: make([]chan time.Duration, len(shards)),
+		done:   make(chan struct{}, len(shards)),
 	}
-	h.alive = false
-	h.timers = h.timers[:0]
-	h.rxCurrent = nil
-	e.m.crashes.Inc()
-	e.cfg.Obs.Emit(s.now, obs.KindCrash, h.idx, 0, "")
-	if e.cfg.OnCrash != nil {
-		s.bufferCallback(cbRec{kind: cbCrash, at: s.now, node: int32(h.idx)})
+	w.exited.Add(len(shards))
+	for k, s := range shards {
+		w.starts[k] = make(chan time.Duration)
+		go func(s *shard, start <-chan time.Duration) {
+			defer w.exited.Done()
+			for limit := range start {
+				s.runEpoch(limit)
+				w.done <- struct{}{}
+			}
+		}(s, w.starts[k])
+	}
+	return w
+}
+
+// epoch runs every shard up to limit and waits for all of them. With a
+// stall histogram it records the wall-clock spread between the first
+// and the last shard finishing.
+func (w *epochWorkers) epoch(limit time.Duration, stall *obs.Histogram) {
+	for _, c := range w.starts {
+		c <- limit
+	}
+	<-w.done
+	firstDone := time.Now()
+	for i := 1; i < len(w.starts); i++ {
+		<-w.done
+	}
+	if stall != nil {
+		stall.Observe(time.Since(firstDone).Seconds())
 	}
 }
 
-// reboot revives a crashed node on the owning shard, mirroring
-// Engine.Reboot; the restart callback runs in shard context with the
-// shard clock already at the event time.
-func (s *shard) reboot(h *host) {
-	e := s.eng
-	if h.alive || h.behavior == nil || !h.started {
-		return
+// stop ends the workers and returns once every one has exited.
+func (w *epochWorkers) stop() {
+	for _, c := range w.starts {
+		close(c)
 	}
-	h.alive = true
-	e.m.reboots.Inc()
-	e.cfg.Obs.Emit(s.now, obs.KindReboot, h.idx, 0, "")
-	if rb, ok := h.behavior.(node.Rebooter); ok {
-		rb.Reboot(h)
-		return
-	}
-	h.behavior.Start(h)
+	w.exited.Wait()
 }
 
-// runSharded is the coordinator loop: compute the epoch limit from the
+// run is the coordinator loop: compute the epoch limit from the
 // globally earliest pending event plus the lookahead, run every shard
 // up to it (concurrently for S > 1), then exchange mailboxes and replay
 // callbacks at the barrier. Coordinator events (Schedule/Do closures)
 // run between epochs, before shard events at equal times.
-func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (int, error) {
+func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, error) {
 	nShards := len(e.shards)
-	var starts []chan time.Duration
-	var done chan struct{}
+	var workers *epochWorkers
 	if nShards > 1 {
-		starts = make([]chan time.Duration, nShards)
-		done = make(chan struct{}, nShards)
-		for k := range e.shards {
-			starts[k] = make(chan time.Duration)
-			go func(s *shard, start <-chan time.Duration) {
-				for limit := range start {
-					s.runEpoch(limit)
-					done <- struct{}{}
-				}
-			}(e.shards[k], starts[k])
-		}
-		defer func() {
-			for _, c := range starts {
-				close(c)
-			}
-		}()
+		workers = startWorkers(e.shards)
+		defer workers.stop()
 	}
 	total := 0
 	for {
@@ -537,7 +516,8 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 			e.syncShardClocks()
 			for len(e.queue) > 0 && e.queue[0].at == gt {
 				ev := heap.Pop(&e.queue).(*event)
-				e.dispatch(ev)
+				ev.fn()
+				e.evs.put(ev)
 				total++
 				e.m.events.Inc()
 			}
@@ -557,22 +537,8 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 				limit = hi
 			}
 		}
-		if nShards > 1 {
-			for _, c := range starts {
-				c <- limit
-			}
-			if e.m.stall != nil {
-				<-done
-				firstDone := time.Now()
-				for i := 1; i < nShards; i++ {
-					<-done
-				}
-				e.m.stall.Observe(time.Since(firstDone).Seconds())
-			} else {
-				for i := 0; i < nShards; i++ {
-					<-done
-				}
-			}
+		if workers != nil {
+			workers.epoch(limit, e.m.stall)
 		} else {
 			e.shards[0].runEpoch(limit)
 		}
@@ -605,10 +571,10 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 	return total, nil
 }
 
-// exchange drains every shard's outboxes into the target shards' heaps.
+// exchange drains every shard's outboxes into the target shards' queues.
 // It runs on the coordinator with all shards at the barrier, so pushing
-// into a foreign heap (and taking records from the foreign free-list)
-// is safe. Heap order depends only on the canonical keys the messages
+// into a foreign queue (and taking records from the foreign free-list)
+// is safe. Queue order depends only on the canonical keys the messages
 // carry, so the drain order does not matter.
 func (e *Engine) exchange() {
 	for _, src := range e.shards {
@@ -620,16 +586,17 @@ func (e *Engine) exchange() {
 			dst := e.shards[t]
 			for i := range msgs {
 				m := &msgs[i]
-				ev := dst.newEvent()
+				ev := dst.evs.get()
 				ev.at = m.at
 				ev.src = m.src
 				ev.seq = m.seq
-				ev.kind = evSDeliver
+				ev.kind = evDeliver
 				ev.h = e.hosts[m.to]
 				ev.from = m.from
 				ev.pkt = m.pkt
 				ev.txAt = m.txAt
 				ev.lossLost = m.lossLost
+				ev.first = m.first
 				heap.Push(&dst.queue, ev)
 				msgs[i] = xmsg{}
 			}

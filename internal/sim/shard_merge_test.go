@@ -1,6 +1,6 @@
 package sim
 
-// Property-based tests for the sharded engine's cross-shard merge: a
+// Property-based tests for the scheduler's cross-shard merge: a
 // random event schedule — dense broadcast storms and timers quantized
 // onto a coarse grid so timestamps collide constantly — must produce
 // one canonical observable order (trace events, per-node reception

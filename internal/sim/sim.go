@@ -1,11 +1,13 @@
 // Package sim is a deterministic discrete-event simulator for broadcast
 // sensor networks — the replacement for the paper's SensorSimII testbed.
 //
-// The engine owns a virtual clock and a binary-heap event queue; node
-// behaviors (internal/node.Behavior) run sequentially as their messages and
-// timers fire, so a run is a pure function of the configuration seed.
-// Event-time ties are broken by insertion sequence, which makes runs
-// bit-reproducible across machines.
+// The engine owns a virtual clock and runs node behaviors
+// (internal/node.Behavior) as their messages and timers fire. Every
+// behavior callback for one node runs on one goroutine at a time, and
+// every event carries a canonical (time, source lane, lane sequence)
+// key, so a run is a pure function of the configuration seed and is
+// bit-reproducible across machines and across Config.Shards values (see
+// shard.go for the scheduler and its determinism contract).
 //
 // The radio model is a broadcast medium over a unit-disk topology: one
 // transmission reaches every graph neighbor after a propagation delay plus
@@ -24,8 +26,8 @@
 // code that needs the bytes longer must copy them. Config.PoisonRecycled
 // turns violations into loud test failures, and Config.DisablePooling
 // restores the old allocate-per-delivery behavior for A/B comparison —
-// both engines produce byte-identical runs for any behavior honoring the
-// contract.
+// pooled and unpooled runs are byte-identical for any behavior honoring
+// the contract.
 package sim
 
 import (
@@ -110,20 +112,14 @@ type Config struct {
 	// diverges, turning silent use-after-recycle bugs into loud test
 	// failures. Ignored when DisablePooling is set.
 	PoisonRecycled bool
-	// Shards, when >= 1, runs the trial on the intra-trial sharded
-	// engine: nodes are partitioned into Shards groups, each group's
-	// event heap advances on its own goroutine in conservative epochs of
-	// width PropDelay (the minimum radio latency, hence a safe
-	// lookahead), and cross-shard deliveries travel through per-epoch
-	// mailboxes. Shard mode uses a shard-count-invariant determinism
-	// contract — per-sender medium streams and a canonical
-	// (time, source lane, lane sequence) event order — so the output is
-	// byte-identical at every Shards >= 1 (Shards=1 is the serial escape
-	// hatch, running the same contract on the calling goroutine).
-	// Shards=0 (the default) keeps the legacy single-heap engine, whose
-	// output all pre-sharding golden tests pin. Switching between 0 and
-	// >=1 is output-affecting, like changing a seed salt; see
-	// docs/SCALING.md and docs/DETERMINISM.md.
+	// Shards is the number of node partitions the engine runs on: each
+	// partition's event queue advances on its own goroutine in
+	// conservative epochs of width PropDelay (the minimum radio latency,
+	// hence a safe lookahead), and cross-shard deliveries travel through
+	// per-epoch mailboxes. Values below 1 mean 1, which runs everything on
+	// the calling goroutine. Shards is a pure performance setting: the
+	// output is byte-identical at every value (see docs/SCALING.md and
+	// docs/DETERMINISM.md).
 	Shards int
 	// ShardOf optionally assigns each graph node to a shard (len N(),
 	// values in [0, Shards)). Nil assigns contiguous index ranges;
@@ -142,6 +138,11 @@ type TraceEvent struct {
 	To   node.ID
 	Size int
 	Lost bool
+	// First marks the event of a transmission's first receiver, so a
+	// consumer counts transmissions by counting First events. The other
+	// receivers' events may arrive later and interleaved with other
+	// transmissions' events.
+	First bool
 	// Pkt is the raw packet. It aliases an engine-owned buffer (the
 	// sender's, which may itself be recycled protocol scratch) and is
 	// only valid for the duration of the trace callback; hooks that need
@@ -153,32 +154,24 @@ type TraceEvent struct {
 // Engine is the discrete-event simulator. It is not safe for concurrent
 // use; the goroutine runtime lives in internal/live.
 type Engine struct {
-	cfg    Config
-	now    time.Duration
-	seq    uint64
-	queue  eventHeap
-	hosts  []*host
-	medium *xrand.RNG
-	inj    *faults.Injector
-	m      simMetrics
+	cfg   Config
+	now   time.Duration
+	hosts []*host
+	m     simMetrics
 
-	// freeEv is the event free-list: every dispatched event returns here
-	// and is reused by the next push, so the steady-state event loop
-	// stops allocating. pkts recycles the per-receiver delivery copies
-	// under the same discipline.
-	freeEv []*event
-	pkts   pktArena
+	// queue is the coordinator lane: Schedule/Do closures, which run
+	// between epochs with every shard parked at the barrier. seq
+	// tie-breaks its events in insertion order; evs recycles them.
+	queue eventQueue
+	seq   uint64
+	evs   eventPool
 
-	// Shard-mode state (Config.Shards >= 1; see shard.go). root is kept
-	// so per-sender medium streams can be split lazily; lookahead is the
-	// conservative epoch width (= PropDelay, the minimum cross-shard
-	// delivery latency). In shard mode e.queue holds only coordinator
-	// (global) events — Schedule/Do closures — which run between epochs.
-	sharded   bool
+	// root is kept so per-sender medium streams can be split lazily;
+	// lookahead is the conservative epoch width (= PropDelay, the minimum
+	// cross-shard delivery latency).
 	root      *xrand.RNG
 	lookahead time.Duration
 	shards    []*shard
-	shardOf   []int32
 	cbScratch []cbRec
 }
 
@@ -195,7 +188,7 @@ type simMetrics struct {
 	reboots    *obs.Counter
 	deaths     *obs.Counter
 
-	// Shard-mode instrumentation.
+	// Scheduler instrumentation.
 	epochs *obs.Counter
 	xmsgs  *obs.Counter
 	stall  *obs.Histogram
@@ -213,7 +206,7 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		crashes:    r.Counter("sim_crashes_total", "node crashes (fault plan or scenario)"),
 		reboots:    r.Counter("sim_reboots_total", "node reboots after a crash"),
 		deaths:     r.Counter("sim_battery_deaths_total", "nodes dead of energy depletion (battery accounting or Context.Die)"),
-		epochs:     r.Counter("sim_epochs_total", "conservative epochs executed by the sharded engine"),
+		epochs:     r.Counter("sim_epochs_total", "conservative epochs executed by the scheduler"),
 		xmsgs:      r.Counter("sim_xshard_msgs_total", "cross-shard deliveries exchanged through epoch mailboxes"),
 		stall:      r.Histogram("sim_shard_stall_seconds", "wall-clock spread between the first and last shard finishing an epoch (merge stall)", []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}),
 		util:       r.Histogram("sim_shard_util", "per-epoch shard utilization: events processed divided by shards times the busiest shard's events", []float64{0.25, 0.5, 0.75, 0.9, 1}),
@@ -221,82 +214,109 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 }
 
 // faultStream is the Split label of the fault injector's RNG. Node i uses
-// label 1+i and the medium uses 0, so any label above every representable
-// node index is free.
+// label 1+i, so any label above every representable node index is free.
 const faultStream = uint64(1) << 40
 
-// mediumLaneBase is the Split label base for shard mode's per-sender
-// medium streams: sender i draws its loss and jitter variates from
-// Split(mediumLaneBase + i) instead of the legacy shared Split(0) stream.
-// Per-sender streams are what make the radio randomness independent of
-// the global interleaving of transmissions — the heart of the
-// shard-count-invariance contract.
+// mediumLaneBase is the Split label base for the per-sender medium
+// streams: sender i draws its loss and jitter variates from
+// Split(mediumLaneBase + i). Per-sender streams are what make the radio
+// randomness independent of the global interleaving of transmissions —
+// the heart of the shard-count-invariance contract.
 const mediumLaneBase = uint64(1) << 41
 
 // eventKind discriminates the engine's typed events. The hot-path kinds
-// (delivery, timer, collidable reception) carry their operands in the
-// event record itself instead of a freshly allocated closure, which is
-// what lets the free-list make the event loop allocation-free.
+// (delivery, timer, end of reception) carry their operands in the event
+// record itself instead of a freshly allocated closure, which is what
+// lets the free-list make the event loop allocation-free.
 type eventKind uint8
 
 const (
-	evFunc    eventKind = iota // generic scheduled function (Schedule, Boot)
-	evDeliver                  // collision-free packet delivery to h
-	evRxBegin                  // collision model: packet starts occupying h's radio
+	evFunc    eventKind = iota // coordinator-lane closure (Schedule, Do)
+	evStart                    // behavior Start on h at boot time
+	evDeliver                  // delivery: fault drop decided receiver-side at arrival
 	evRxEnd                    // collision model: airtime over, deliver if intact
 	evTimer                    // behavior timer tid on h
-
-	// Shard-mode kinds (see shard.go). They carry the canonical
-	// (at, src, seq) ordering key instead of the legacy global sequence.
-	evStart    // behavior Start on h at boot time
-	evSDeliver // shard delivery: fault-drop decided receiver-side at arrival
-	evSCrash   // fault-plan crash of h
-	evSReboot  // fault-plan reboot of h
+	evCrash                    // fault-plan crash of h
+	evReboot                   // fault-plan reboot of h
 )
 
+// event is one queued event. The canonical order key is (at, src, seq):
+// src is the owning lane (the graph index of the host whose counter
+// issued seq; constant on the coordinator lane). txAt, lossLost and
+// first carry a delivery's transmission time, sender-side Config.Loss
+// outcome and first-receiver mark across the mailbox.
 type event struct {
-	at   time.Duration
-	seq  uint64
-	kind eventKind
-	fn   func()
-	h    *host
-	from node.ID
-	pkt  []byte
-	rx   *reception
-	tid  node.TimerID
-
-	// Shard-mode key and payload extensions. src is the owning lane
-	// (the graph index of the host whose counter issued seq); txAt and
-	// lossLost carry a shard delivery's transmission time and sender-side
-	// Config.Loss outcome across the mailbox.
+	at       time.Duration
 	src      int32
-	txAt     time.Duration
+	kind     eventKind
+	seq      uint64
+	fn       func()
+	h        *host
+	from     node.ID
 	lossLost bool
+	first    bool
+	pkt      []byte
+	rx       *reception
+	tid      node.TimerID
+	txAt     time.Duration
 }
 
-type eventHeap []*event
+// eventQueue is a binary heap ordered by the canonical (at, src, seq)
+// key. The coordinator lane and every shard use it.
+type eventQueue []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
 	}
-	return h[i].seq < h[j].seq
+	if q[i].src != q[j].src {
+		return q[i].src < q[j].src
+	}
+	return q[i].seq < q[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
+func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
+func (q *eventQueue) Pop() interface{} {
+	old := *q
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	*h = old[:n-1]
+	*q = old[:n-1]
 	return ev
 }
 
-// pktArena recycles the per-receiver packet copies deliverFrom makes.
-// Buffers are handed to Behavior.Receive and reclaimed as soon as the
-// callback returns; see the package comment for the ownership contract.
+// eventPool is an event free-list: every dispatched event returns here
+// and is reused by the next push, so the steady-state event loop stops
+// allocating.
+type eventPool struct {
+	free     []*event
+	disabled bool
+}
+
+func (p *eventPool) get() *event {
+	if last := len(p.free) - 1; last >= 0 {
+		ev := p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
+		return ev
+	}
+	return &event{}
+}
+
+// put clears a dispatched event and returns it to the free-list.
+func (p *eventPool) put(ev *event) {
+	if p.disabled {
+		return
+	}
+	*ev = event{}
+	p.free = append(p.free, ev)
+}
+
+// pktArena recycles the per-receiver packet copies shard.deliverFrom
+// makes. Buffers are handed to Behavior.Receive and reclaimed as soon as
+// the callback returns; see the package comment for the ownership
+// contract.
 type pktArena struct {
 	free     [][]byte
 	disabled bool
@@ -366,7 +386,7 @@ type host struct {
 	// stations).
 	immortal bool
 
-	// Shard-mode state: the owning shard, the lazily split per-sender
+	// Scheduler state: the owning shard, the lazily split per-sender
 	// medium stream, and the per-host lane sequence counter that
 	// tie-breaks this host's events in the canonical order. lseq is only
 	// ever touched by the owning shard's goroutine (or by the
@@ -405,22 +425,20 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 	if (cfg.Energy == energy.Model{}) {
 		cfg.Energy = energy.DefaultModel()
 	}
-	root := xrand.New(cfg.Seed)
-	eng := &Engine{
-		cfg:    cfg,
-		medium: root.Split(0),
-		m:      newSimMetrics(cfg.Obs.Registry()),
-	}
-	eng.pkts.disabled = cfg.DisablePooling
-	eng.pkts.poison = cfg.PoisonRecycled
+	cfg.Shards = max(cfg.Shards, 1)
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(cfg.Graph.N()); err != nil {
 			return nil, err
 		}
-		eng.inj = faults.NewInjector(cfg.Faults, root.Split(faultStream))
-		eng.inj.SetMetrics(faults.NewMetrics(cfg.Obs.Registry()))
-		eng.inj.SetLocator(locatorFor(cfg.Graph))
 	}
+	root := xrand.New(cfg.Seed)
+	eng := &Engine{
+		cfg:       cfg,
+		m:         newSimMetrics(cfg.Obs.Registry()),
+		root:      root,
+		lookahead: cfg.PropDelay,
+	}
+	eng.evs.disabled = cfg.DisablePooling
 	eng.hosts = make([]*host, len(behaviors))
 	for i, b := range behaviors {
 		eng.hosts[i] = &host{
@@ -432,10 +450,8 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 			alive:    b != nil,
 		}
 	}
-	if cfg.Shards > 0 {
-		if err := eng.setupShards(root); err != nil {
-			return nil, err
-		}
+	if err := eng.setupShards(); err != nil {
+		return nil, err
 	}
 	return eng, nil
 }
@@ -443,44 +459,18 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// newEvent takes an event record from the free-list (or allocates one)
-// and stamps it with the next tie-break sequence number.
-func (e *Engine) newEvent(at time.Duration) *event {
-	var ev *event
-	if last := len(e.freeEv) - 1; last >= 0 {
-		ev = e.freeEv[last]
-		e.freeEv[last] = nil
-		e.freeEv = e.freeEv[:last]
-	} else {
-		ev = &event{}
-	}
-	e.seq++
-	ev.at = at
-	ev.seq = e.seq
-	return ev
-}
-
-// recycle clears a dispatched event and returns it to the free-list.
-func (e *Engine) recycle(ev *event) {
-	if e.cfg.DisablePooling {
-		return
-	}
-	*ev = event{}
-	e.freeEv = append(e.freeEv, ev)
-}
-
 // Schedule runs fn at the given absolute virtual time (or immediately next
 // if t is in the past). External actors — experiment scripts, the
-// adversary — use this to interleave with protocol events.
+// adversary — use this to interleave with protocol events. fn runs on
+// the coordinator lane, before shard events at the same time.
 func (e *Engine) Schedule(t time.Duration, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(t, fn)
-}
-
-func (e *Engine) push(at time.Duration, fn func()) {
-	ev := e.newEvent(at)
+	e.seq++
+	ev := e.evs.get()
+	ev.at = t
+	ev.seq = e.seq
 	ev.kind = evFunc
 	ev.fn = fn
 	heap.Push(&e.queue, ev)
@@ -491,33 +481,24 @@ func (e *Engine) push(at time.Duration, fn func()) {
 // into engine events. Call once after New (t=0 for the initial
 // deployment); late-deployed nodes are booted individually with BootNode.
 func (e *Engine) Boot(t time.Duration) {
-	for i := range e.hosts {
-		h := e.hosts[i]
+	for _, h := range e.hosts {
 		if h.alive && !h.started {
 			e.bootHost(h, t)
 		}
 	}
-	if e.inj != nil {
-		for _, ev := range e.inj.CrashRebootEvents() {
-			ev := ev
-			if e.sharded {
-				// Crash/reboot land on the target's own lane so their
-				// order against the node's other events is canonical.
-				h := e.hosts[ev.Node]
-				kind := evSCrash
-				if ev.Kind == faults.KindReboot {
-					kind = evSReboot
-				}
-				h.sh.pushHostEvent(ev.At, h, kind)
-				continue
-			}
-			switch ev.Kind {
-			case faults.KindCrash:
-				e.push(ev.At, func() { e.Crash(ev.Node) })
-			case faults.KindReboot:
-				e.push(ev.At, func() { e.Reboot(ev.Node) })
-			}
+	inj := e.shards[0].inj // every replica lists the same plan events
+	if inj == nil {
+		return
+	}
+	for _, ev := range inj.CrashRebootEvents() {
+		// Crash/reboot land on the target's own lane so their order
+		// against the node's other events is canonical.
+		kind := evCrash
+		if ev.Kind == faults.KindReboot {
+			kind = evReboot
 		}
+		h := e.hosts[ev.Node]
+		h.sh.pushHostEvent(ev.At, h, kind)
 	}
 }
 
@@ -535,79 +516,22 @@ func (e *Engine) BootNode(i int, b node.Behavior, t time.Duration) {
 
 func (e *Engine) bootHost(h *host, t time.Duration) {
 	h.started = true
-	if e.sharded {
-		h.sh.pushHostEvent(t, h, evStart)
-		return
-	}
-	e.push(t, func() {
-		if h.alive {
-			h.behavior.Start(h)
-		}
-	})
-}
-
-// dispatch runs one popped event and returns its record to the free-list.
-func (e *Engine) dispatch(ev *event) {
-	switch ev.kind {
-	case evFunc:
-		ev.fn()
-	case evDeliver:
-		e.runDeliver(ev.h, ev.from, ev.pkt)
-	case evRxBegin:
-		e.runRxBegin(ev.h, ev.rx)
-	case evRxEnd:
-		e.runRxEnd(ev.h, ev.from, ev.pkt, ev.rx)
-	case evTimer:
-		e.runTimer(ev.h, ev.tid)
-	}
-	e.recycle(ev)
+	h.sh.pushHostEvent(t, h, evStart)
 }
 
 // Run processes events in time order until the queue is empty or the
 // virtual clock would exceed until. It returns the number of events
 // processed.
 func (e *Engine) Run(until time.Duration) int {
-	if e.sharded {
-		n, _ := e.runSharded(until, false, 0)
-		return n
-	}
-	processed := 0
-	for e.queue.Len() > 0 {
-		next := e.queue[0]
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.queue)
-		e.now = next.at
-		e.dispatch(next)
-		processed++
-		e.m.events.Inc()
-	}
-	if e.now < until {
-		e.now = until
-	}
-	return processed
+	n, _ := e.run(until, false, 0)
+	return n
 }
 
 // RunUntilIdle drains every pending event regardless of time and returns
 // the number processed. maxEvents guards against livelock (<=0 means no
 // limit); exceeding it returns an error.
 func (e *Engine) RunUntilIdle(maxEvents int) (int, error) {
-	if e.sharded {
-		return e.runSharded(0, true, maxEvents)
-	}
-	processed := 0
-	for e.queue.Len() > 0 {
-		next := heap.Pop(&e.queue).(*event)
-		e.now = next.at
-		e.dispatch(next)
-		processed++
-		e.m.events.Inc()
-		if maxEvents > 0 && processed > maxEvents {
-			return processed, fmt.Errorf("sim: exceeded %d events; protocol not quiescing", maxEvents)
-		}
-	}
-	return processed, nil
+	return e.run(0, true, maxEvents)
 }
 
 // Pending returns the number of queued events.
@@ -622,8 +546,7 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// ShardCount returns the number of shards the engine runs on (0 for the
-// legacy single-heap engine).
+// ShardCount returns the number of shards the engine runs on.
 func (e *Engine) ShardCount() int { return len(e.shards) }
 
 // N returns the number of hosted nodes.
@@ -649,18 +572,24 @@ func (e *Engine) Kill(i int) { e.hosts[i].alive = false }
 // reception is abandoned. Unlike Kill it is designed to pair with Reboot —
 // a rebooted node must not see timers armed before the crash.
 func (e *Engine) Crash(i int) {
-	h := e.hosts[i]
+	if e.crash(e.hosts[i], e.now) && e.cfg.OnCrash != nil {
+		e.cfg.OnCrash(i, e.now)
+	}
+}
+
+// crash is the one crash path, for Crash and for fault-plan crashes on
+// the owning shard; it reports whether h was alive. The caller delivers
+// OnCrash: directly on the coordinator, buffered on a shard.
+func (e *Engine) crash(h *host, at time.Duration) bool {
 	if !h.alive {
-		return
+		return false
 	}
 	h.alive = false
 	h.timers = h.timers[:0]
 	h.rxCurrent = nil
 	e.m.crashes.Inc()
-	e.cfg.Obs.Emit(e.now, obs.KindCrash, i, 0, "")
-	if e.cfg.OnCrash != nil {
-		e.cfg.OnCrash(i, e.now)
-	}
+	e.cfg.Obs.Emit(at, obs.KindCrash, h.idx, 0, "")
+	return true
 }
 
 // Reboot revives a crashed node at the current virtual time: the radio
@@ -669,18 +598,21 @@ func (e *Engine) Crash(i int) {
 // survived, volatile timers did not), Start otherwise. Rebooting an alive
 // or never-booted node is a no-op.
 func (e *Engine) Reboot(i int) {
-	h := e.hosts[i]
+	// The restart callback runs with the host's Context, whose clock is
+	// the owning shard's; align it with coordinator time first.
+	e.syncShardClocks()
+	e.reboot(e.hosts[i])
+}
+
+// reboot is the one reboot path, for Reboot and for fault-plan reboots
+// on the owning shard. It runs at the shard's clock.
+func (e *Engine) reboot(h *host) {
 	if h.alive || h.behavior == nil || !h.started {
 		return
 	}
 	h.alive = true
 	e.m.reboots.Inc()
-	e.cfg.Obs.Emit(e.now, obs.KindReboot, i, 0, "")
-	if e.sharded {
-		// The restart callback runs with the host's Context, whose clock
-		// is the owning shard's; align it with coordinator time first.
-		e.syncShardClocks()
-	}
+	e.cfg.Obs.Emit(h.sh.now, obs.KindReboot, h.idx, 0, "")
 	if rb, ok := h.behavior.(node.Rebooter); ok {
 		rb.Reboot(h)
 		return
@@ -727,17 +659,13 @@ func (e *Engine) Do(t time.Duration, i int, fn func(node.Context)) {
 // InjectAt broadcasts pkt from the radio position of graph node at,
 // claiming link-layer sender fakeFrom. This is the adversary's transmitter:
 // it spends no defender energy and reaches exactly the nodes a real radio
-// at that position would reach.
+// at that position would reach. Injections originate on the coordinator
+// between epochs; the position's host owns the lane and the medium
+// stream, so the fan-out is identical to a real transmission from there.
 func (e *Engine) InjectAt(at int, fakeFrom node.ID, pkt []byte) {
-	if e.sharded {
-		// Injections originate on the coordinator between epochs; the
-		// radio position's host owns the lane and the medium stream, so
-		// the fan-out is identical to a real transmission from there.
-		e.syncShardClocks()
-		e.hosts[at].sh.deliverFrom(e.hosts[at], fakeFrom, pkt)
-		return
-	}
-	e.deliverFrom(at, fakeFrom, pkt)
+	e.syncShardClocks()
+	h := e.hosts[at]
+	h.sh.deliverFrom(h, fakeFrom, pkt)
 }
 
 // broadcast carries a host transmission onto the medium.
@@ -747,11 +675,7 @@ func (e *Engine) broadcast(h *host, pkt []byte) {
 	h.meter.ChargeTx(e.cfg.Energy, len(pkt))
 	// The transmission itself completes even if it drains the battery;
 	// the node is dead afterwards.
-	if e.sharded {
-		h.sh.deliverFrom(h, h.id, pkt)
-	} else {
-		e.deliverFrom(h.idx, h.id, pkt)
-	}
+	h.sh.deliverFrom(h, h.id, pkt)
 	e.checkBattery(h)
 }
 
@@ -773,7 +697,8 @@ func (e *Engine) checkBattery(h *host) {
 // kill is the single death path for energy depletion: both the engine's
 // battery accounting (checkBattery) and a behavior's own Context.Die
 // route through it, so the death counter and the OnDeath callback can
-// never disagree about how many nodes died.
+// never disagree about how many nodes died. OnDeath is buffered and
+// replayed on the coordinator in canonical order at the next barrier.
 func (e *Engine) kill(h *host) {
 	if !h.alive {
 		return
@@ -781,148 +706,8 @@ func (e *Engine) kill(h *host) {
 	h.alive = false
 	e.m.deaths.Inc()
 	if e.cfg.OnDeath != nil {
-		if h.sh != nil {
-			// Shard mode: callbacks are buffered and replayed on the
-			// coordinator in canonical order at the next barrier.
-			h.sh.bufferCallback(cbRec{kind: cbDeath, at: h.sh.now, node: int32(h.idx)})
-			return
-		}
-		e.cfg.OnDeath(h.idx, e.now)
+		h.sh.bufferCallback(cbRec{kind: cbDeath, at: h.sh.now, node: int32(h.idx)})
 	}
-}
-
-// deliverFrom fans a transmission at graph position idx out to every
-// radio neighbor. Each receiver gets a private arena copy, so neither the
-// sender's later reuse of its buffer nor another receiver's in-place
-// mutation can corrupt a delivery — the same isolation a real radio
-// provides; the copy returns to the arena when Receive returns.
-func (e *Engine) deliverFrom(idx int, from node.ID, pkt []byte) {
-	for _, nb := range e.cfg.Graph.Neighbors(idx) {
-		rcv := e.hosts[nb]
-		// Loss ordering contract (pinned by TestLossBeforeCollision*):
-		// fault-plan drops and independent per-link loss are both decided
-		// at transmission time, before the packet would occupy the
-		// receiver's radio — a lost packet can therefore never collide
-		// with, nor corrupt, another reception. The fault injector is
-		// consulted first so its chains advance on every arrival
-		// regardless of the Loss draw's outcome.
-		lost := e.inj != nil && e.inj.Drop(e.now, idx, int(nb))
-		lost = (e.cfg.Loss > 0 && e.medium.Bool(e.cfg.Loss)) || lost
-		// The jitter draw is made even for lost packets, so the medium
-		// stream consumed per (transmission, receiver) is a constant two
-		// variates: loss outcomes — whether from Config.Loss or a fault
-		// plan — can never shift later draws. This is what keeps a fault
-		// plan targeting one receiver from perturbing the radio behavior
-		// every other receiver observes (TestFaultPlanPreservesMediumStream).
-		delay := e.cfg.PropDelay
-		if jit := e.scaledJitter(); jit > 0 {
-			delay += time.Duration(e.medium.Uint64n(uint64(jit)))
-		}
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{At: e.now, From: from, To: rcv.id, Size: len(pkt), Lost: lost, Pkt: pkt})
-		}
-		if lost {
-			e.m.lost.Inc()
-			continue
-		}
-		copied := e.pkts.get(len(pkt))
-		copy(copied, pkt)
-		if e.cfg.Collisions {
-			e.scheduleCollidableRx(rcv, from, copied, e.now+delay)
-			continue
-		}
-		ev := e.newEvent(e.now + delay)
-		ev.kind = evDeliver
-		ev.h = rcv
-		ev.from = from
-		ev.pkt = copied
-		heap.Push(&e.queue, ev)
-	}
-}
-
-// runDeliver completes a collision-free delivery and reclaims the packet
-// buffer once the receiver's callback is done with it.
-func (e *Engine) runDeliver(rcv *host, from node.ID, pkt []byte) {
-	if rcv.alive {
-		e.m.rx.Inc()
-		rcv.meter.ChargeRx(e.cfg.Energy, len(pkt))
-		rcv.behavior.Receive(rcv, from, pkt)
-		e.checkBattery(rcv)
-	}
-	e.pkts.put(pkt)
-}
-
-// scaledJitter returns the medium jitter with any active fault-plan
-// jitter scaling applied.
-func (e *Engine) scaledJitter() time.Duration {
-	jit := e.cfg.Jitter
-	if e.inj != nil && jit > 0 {
-		jit = time.Duration(float64(jit) * e.inj.JitterScale(e.now))
-	}
-	return jit
-}
-
-// scheduleCollidableRx implements the half-duplex collision model: the
-// packet occupies rcv's radio from arrival until arrival+airtime; if it
-// overlaps another reception, both are corrupted and neither is
-// delivered. Receive energy is charged only for packets that decode —
-// corrupted receptions are dropped before the full-packet receive cost.
-// The end-of-airtime event owns the packet buffer.
-func (e *Engine) scheduleCollidableRx(rcv *host, from node.ID, pkt []byte, arrival time.Duration) {
-	airtime := e.cfg.AirtimePerByte * time.Duration(len(pkt))
-	if airtime <= 0 {
-		airtime = time.Microsecond
-	}
-	rx := &reception{endsAt: arrival + airtime}
-	begin := e.newEvent(arrival)
-	begin.kind = evRxBegin
-	begin.h = rcv
-	begin.rx = rx
-	heap.Push(&e.queue, begin)
-	end := e.newEvent(arrival + airtime)
-	end.kind = evRxEnd
-	end.h = rcv
-	end.from = from
-	end.pkt = pkt
-	end.rx = rx
-	heap.Push(&e.queue, end)
-}
-
-// runRxBegin starts occupying the receiver's radio, corrupting any
-// overlapping reception.
-func (e *Engine) runRxBegin(rcv *host, rx *reception) {
-	if !rcv.alive {
-		return
-	}
-	if cur := rcv.rxCurrent; cur != nil && e.now < cur.endsAt {
-		// Overlap: the in-progress reception and this one are both
-		// destroyed.
-		if !cur.corrupt {
-			cur.corrupt = true
-			rcv.collisions++
-			e.m.collisions.Inc()
-		}
-		rx.corrupt = true
-		rcv.collisions++
-		e.m.collisions.Inc()
-		if rx.endsAt > cur.endsAt {
-			rcv.rxCurrent = rx // radio stays jammed until the longer one ends
-		}
-		return
-	}
-	rcv.rxCurrent = rx
-}
-
-// runRxEnd delivers a collidable reception that survived its airtime and
-// reclaims the packet buffer.
-func (e *Engine) runRxEnd(rcv *host, from node.ID, pkt []byte, rx *reception) {
-	if rcv.alive && !rx.corrupt {
-		e.m.rx.Inc()
-		rcv.meter.ChargeRx(e.cfg.Energy, len(pkt))
-		rcv.behavior.Receive(rcv, from, pkt)
-		e.checkBattery(rcv)
-	}
-	e.pkts.put(pkt)
 }
 
 // runTimer fires behavior timer tid on h unless it was cancelled (absent
@@ -978,14 +763,9 @@ func (h *host) takeTimer(tid node.TimerID) (node.Tag, bool) {
 // ID implements node.Context.
 func (h *host) ID() node.ID { return h.id }
 
-// Now implements node.Context. In shard mode the host's clock is its
-// owning shard's (synced to coordinator time for between-epoch callbacks).
-func (h *host) Now() time.Duration {
-	if h.sh != nil {
-		return h.sh.now
-	}
-	return h.eng.now
-}
+// Now implements node.Context. The host's clock is its owning shard's
+// (synced to coordinator time for between-epoch callbacks).
+func (h *host) Now() time.Duration { return h.sh.now }
 
 // Broadcast implements node.Context.
 func (h *host) Broadcast(pkt []byte) {
@@ -1000,17 +780,8 @@ func (h *host) SetTimer(d time.Duration, tag node.Tag) node.TimerID {
 	h.nextTID++
 	tid := h.nextTID
 	h.timers = append(h.timers, timerRec{tid, tag}) // tids increase: stays sorted
-	if h.sh != nil {
-		ev := h.sh.pushHostEvent(h.sh.now+d, h, evTimer)
-		ev.tid = tid
-		return tid
-	}
-	e := h.eng
-	ev := e.newEvent(e.now + d)
-	ev.kind = evTimer
-	ev.h = h
+	ev := h.sh.pushHostEvent(h.sh.now+d, h, evTimer)
 	ev.tid = tid
-	heap.Push(&e.queue, ev)
 	return tid
 }
 

@@ -392,12 +392,19 @@ func TestPacketImmutabilityAcrossReceivers(t *testing.T) {
 		receive: func(_ node.Context, _ node.ID, pkt []byte) { got = append([]byte(nil), pkt...) },
 		timer:   func(node.Context, node.Tag) {},
 	}
-	sender := &echo{sendOnStart: []byte("ok")}
+	// The sender scribbling over its buffer right after Broadcast must
+	// not be visible to receivers either.
+	sender := behaviorFuncs{
+		start: func(ctx node.Context) {
+			buf := []byte("ok")
+			ctx.Broadcast(buf)
+			buf[1] = 'Z'
+		},
+		receive: func(node.Context, node.ID, []byte) {},
+		timer:   func(node.Context, node.Tag) {},
+	}
 	eng := newEngine(t, g, []node.Behavior{sender, mutator, observer}, Config{Jitter: 1})
 	eng.Boot(0)
-	// The sender scribbling over its buffer after Broadcast must not be
-	// visible to receivers either.
-	eng.Schedule(0, func() { sender.sendOnStart[1] = 'Z' })
 	if _, err := eng.RunUntilIdle(100); err != nil {
 		t.Fatal(err)
 	}

@@ -36,13 +36,6 @@ type Counts struct {
 type Recorder struct {
 	mu     sync.Mutex
 	phases []phase
-	// lastTx collapses the per-receiver trace events of one broadcast
-	// into a single transmission: the simulator emits the events of one
-	// broadcast consecutively with identical (From, At, Size).
-	lastFrom uint32
-	lastAt   time.Duration
-	lastSize int
-	havePrev bool
 }
 
 type phase struct {
@@ -100,12 +93,11 @@ func (r *Recorder) record(ev sim.TraceEvent) {
 		c = &Counts{}
 		ph.byTyp[typ] = c
 	}
-	// One broadcast shows up as consecutive events sharing (From, At,
-	// Size); count the transmission once.
-	if !r.havePrev || r.lastFrom != ev.From || r.lastAt != ev.At || r.lastSize != ev.Size {
+	// One broadcast shows up as one event per receiver; the simulator
+	// marks the first, so the transmission counts once.
+	if ev.First {
 		c.Transmissions++
 		c.Bytes += int64(ev.Size)
-		r.lastFrom, r.lastAt, r.lastSize, r.havePrev = ev.From, ev.At, ev.Size, true
 	}
 	if ev.Lost {
 		c.Lost++

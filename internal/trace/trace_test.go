@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -25,10 +26,10 @@ func TestRecordCollapsesBroadcasts(t *testing.T) {
 	pkt := []byte{byte(wire.THello), 0, 0, 0, 0}
 	// One broadcast from node 3 reaching four neighbors.
 	for to := uint32(10); to < 14; to++ {
-		r.record(sim.TraceEvent{At: time.Millisecond, From: 3, To: to, Size: len(pkt), Pkt: pkt})
+		r.record(sim.TraceEvent{At: time.Millisecond, From: 3, To: to, Size: len(pkt), First: to == 10, Pkt: pkt})
 	}
 	// A second broadcast later.
-	r.record(sim.TraceEvent{At: 2 * time.Millisecond, From: 3, To: 10, Size: len(pkt), Pkt: pkt})
+	r.record(sim.TraceEvent{At: 2 * time.Millisecond, From: 3, To: 10, Size: len(pkt), First: true, Pkt: pkt})
 	c := r.Total()[wire.THello]
 	if c.Transmissions != 2 {
 		t.Fatalf("transmissions = %d, want 2", c.Transmissions)
@@ -44,7 +45,7 @@ func TestRecordCollapsesBroadcasts(t *testing.T) {
 func TestLostCounted(t *testing.T) {
 	r := New()
 	pkt := []byte{byte(wire.TData)}
-	r.record(sim.TraceEvent{At: 1, From: 1, To: 2, Size: 1, Pkt: pkt, Lost: true})
+	r.record(sim.TraceEvent{At: 1, From: 1, To: 2, Size: 1, Pkt: pkt, Lost: true, First: true})
 	r.record(sim.TraceEvent{At: 1, From: 1, To: 3, Size: 1, Pkt: pkt})
 	c := r.Total()[wire.TData]
 	if c.Lost != 1 || c.Deliveries != 1 || c.Transmissions != 1 {
@@ -59,8 +60,8 @@ func TestPhaseBucketing(t *testing.T) {
 	}
 	hello := []byte{byte(wire.THello)}
 	data := []byte{byte(wire.TData)}
-	r.record(sim.TraceEvent{At: 500 * time.Millisecond, From: 1, To: 2, Size: 1, Pkt: hello})
-	r.record(sim.TraceEvent{At: 1500 * time.Millisecond, From: 1, To: 2, Size: 1, Pkt: data})
+	r.record(sim.TraceEvent{At: 500 * time.Millisecond, From: 1, To: 2, Size: 1, First: true, Pkt: hello})
+	r.record(sim.TraceEvent{At: 1500 * time.Millisecond, From: 1, To: 2, Size: 1, First: true, Pkt: data})
 	if c := r.Phase("setup")[wire.THello]; c.Transmissions != 1 {
 		t.Fatalf("setup hello = %+v", c)
 	}
@@ -77,14 +78,25 @@ func TestPhaseBucketing(t *testing.T) {
 
 // TestFullRunAccounting attaches a recorder to a real deployment and
 // checks the message accounting against the protocol's known structure.
+// With two shards a broadcast's per-receiver events can straddle an
+// epoch barrier and interleave with other senders' events, so the count
+// must not depend on their adjacency.
 func TestFullRunAccounting(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testFullRunAccounting(t, shards)
+		})
+	}
+}
+
+func testFullRunAccounting(t *testing.T, shards int) {
 	cfg := core.DefaultConfig()
 	rec, err := NewPhased([]string{"setup", "operational"}, []time.Duration{cfg.ClusterPhaseEnd + cfg.LinkSpread + 50*time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, err := core.Deploy(core.DeployOptions{
-		N: 150, Density: 10, Seed: 77, Trace: rec.Hook(),
+		N: 150, Density: 10, Seed: 77, Trace: rec.Hook(), Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +151,8 @@ func TestPhaseBoundaryExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := []byte{byte(wire.THello)}
-	r.record(sim.TraceEvent{At: time.Second - time.Nanosecond, From: 1, To: 2, Size: 1, Pkt: pkt})
-	r.record(sim.TraceEvent{At: time.Second, From: 3, To: 4, Size: 1, Pkt: pkt})
+	r.record(sim.TraceEvent{At: time.Second - time.Nanosecond, From: 1, To: 2, Size: 1, First: true, Pkt: pkt})
+	r.record(sim.TraceEvent{At: time.Second, From: 3, To: 4, Size: 1, First: true, Pkt: pkt})
 	if c := r.Phase("setup")[wire.THello]; c.Transmissions != 1 || c.Deliveries != 1 {
 		t.Fatalf("setup = %+v, want exactly the pre-cutoff event", c)
 	}
@@ -158,7 +170,7 @@ func TestZeroDurationFirstPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := []byte{byte(wire.TData)}
-	r.record(sim.TraceEvent{At: 0, From: 1, To: 2, Size: 1, Pkt: pkt})
+	r.record(sim.TraceEvent{At: 0, From: 1, To: 2, Size: 1, First: true, Pkt: pkt})
 	if c := r.Phase("empty")[wire.TData]; c.Transmissions != 0 {
 		t.Fatalf("zero-width phase caught an event: %+v", c)
 	}
