@@ -107,7 +107,9 @@ type Deployment struct {
 
 	reserved int
 	lateUsed int
-	setupTx  []int // per-node transmissions during key setup only
+	setupTx  []int          // per-node transmissions during key setup only
+	shardOf  []int          // graph index -> simulator shard
+	tables   []*sealerTable // per shard, shared by its sensors
 }
 
 // Deploy generates the topology, provisions every node through a fresh
@@ -158,6 +160,13 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		}
 	}
 	auth := AuthorityFromSeed(opt.Seed, cfg.ChainLength)
+	shards := max(opt.Shards, 1)
+	shardOf := graph.ShardStripes(shards)
+	// One sealer table per shard; sealerTable says why no lock is needed.
+	tables := make([]*sealerTable, shards)
+	for i := range tables {
+		tables[i] = newSealerTable()
+	}
 	sensors := make([]*Sensor, total)
 	behaviors := make([]node.Behavior, total)
 	for i := 0; i < opt.N; i++ {
@@ -170,14 +179,14 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		} else {
 			sensors[i] = NewSensor(cfg, m)
 		}
+		sensors[i].sealers.table = tables[shardOf[i]]
 		behaviors[i] = sensors[i]
 	}
-	shards := max(opt.Shards, 1)
 	eng, err := sim.New(sim.Config{
 		Graph:      graph,
 		Seed:       opt.Seed,
 		Shards:     shards,
-		ShardOf:    graph.ShardStripes(shards),
+		ShardOf:    shardOf,
 		Loss:       opt.Loss,
 		Collisions: opt.Collisions,
 		Jitter:     opt.Jitter,
@@ -222,6 +231,8 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		BSIndex:  opt.BSIndex,
 		Mob:      mob,
 		reserved: opt.ReserveLate,
+		shardOf:  shardOf,
+		tables:   tables,
 	}, nil
 }
 
@@ -294,6 +305,7 @@ func (d *Deployment) AddLateNode(at time.Duration) (int, error) {
 	idx := len(d.Sensors) - d.reserved + d.lateUsed
 	d.lateUsed++
 	s := NewSensor(d.Cfg, d.Auth.LateMaterialFor(node.ID(idx)))
+	s.sealers.table = d.tables[d.shardOf[idx]]
 	d.Sensors[idx] = s
 	d.Eng.BootNode(idx, s, at)
 	return idx, nil

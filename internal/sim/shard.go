@@ -44,7 +44,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -200,7 +199,7 @@ func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event 
 	ev.seq = h.lseq
 	ev.kind = kind
 	ev.h = h
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -211,7 +210,7 @@ func (s *shard) bufferCallback(r cbRec) { s.cbs = append(s.cbs, r) }
 func (s *shard) runEpoch(limit time.Duration) {
 	n := 0
 	for len(s.queue) > 0 && s.queue[0].at < limit {
-		ev := heap.Pop(&s.queue).(*event)
+		ev := s.queue.pop()
 		s.now = ev.at
 		s.dispatch(ev)
 		n++
@@ -301,7 +300,7 @@ func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
 		ev.txAt = txAt
 		ev.lossLost = lost
 		ev.first = i == 0
-		heap.Push(&s.queue, ev)
+		s.queue.push(ev)
 	}
 }
 
@@ -515,7 +514,7 @@ func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, er
 			e.now = gt
 			e.syncShardClocks()
 			for len(e.queue) > 0 && e.queue[0].at == gt {
-				ev := heap.Pop(&e.queue).(*event)
+				ev := e.queue.pop()
 				ev.fn()
 				e.evs.put(ev)
 				total++
@@ -597,7 +596,7 @@ func (e *Engine) exchange() {
 				ev.txAt = m.txAt
 				ev.lossLost = m.lossLost
 				ev.first = m.first
-				heap.Push(&dst.queue, ev)
+				dst.queue.push(ev)
 				msgs[i] = xmsg{}
 			}
 			e.m.xmsgs.Add(uint64(len(msgs)))

@@ -31,7 +31,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -261,31 +260,6 @@ type event struct {
 	txAt     time.Duration
 }
 
-// eventQueue is a binary heap ordered by the canonical (at, src, seq)
-// key. The coordinator lane and every shard use it.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].src != q[j].src {
-		return q[i].src < q[j].src
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
-
 // eventPool is an event free-list: every dispatched event returns here
 // and is reused by the next push, so the steady-state event loop stops
 // allocating.
@@ -473,7 +447,7 @@ func (e *Engine) Schedule(t time.Duration, fn func()) {
 	ev.seq = e.seq
 	ev.kind = evFunc
 	ev.fn = fn
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // Boot schedules behavior Start callbacks at time t for every alive,
@@ -536,9 +510,9 @@ func (e *Engine) RunUntilIdle(maxEvents int) (int, error) {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {
-	n := e.queue.Len()
+	n := len(e.queue)
 	for _, s := range e.shards {
-		n += s.queue.Len()
+		n += len(s.queue)
 		for _, out := range s.out {
 			n += len(out)
 		}
